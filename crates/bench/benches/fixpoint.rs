@@ -1,16 +1,13 @@
 //! Criterion microbench: whole-analysis cost (index build + fixpoint +
-//! sink scan) under each engine on the same prepared programs.
-//! Complements `bench_fixpoint`, which isolates the fixpoint phase and
-//! reports per-contract percentiles over a large corpus — on tiny
-//! corpus contracts the sparse engine's index-build overhead roughly
-//! cancels its fixpoint win end-to-end; the fixpoint-only numbers in
-//! `BENCH_fixpoint.json` are where the scheduling change shows.
+//! sink scan) on a set of prepared programs. Complements
+//! `bench_fixpoint`, which isolates the fixpoint phase and reports
+//! per-contract percentiles over a large corpus.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ethainter::{Config, Engine};
+use ethainter::Config;
 use std::hint::black_box;
 
-/// A guard-heavy contract where the sparse engine's delta-rba path is
+/// A guard-heavy contract where the engine's delta-rba path is
 /// actually exercised (the membership chain defeats guards mid-run).
 const VICTIM: &str = r#"contract Victim {
     mapping(address => bool) admins;
@@ -45,21 +42,19 @@ fn prepared_programs() -> Vec<decompiler::Program> {
     programs
 }
 
-fn bench_engines(c: &mut Criterion) {
+fn bench_analyze(c: &mut Criterion) {
     let programs = prepared_programs();
-    for engine in [Engine::Dense, Engine::Sparse] {
-        let cfg = Config { engine, ..Config::default() };
-        c.bench_function(&format!("analyze/{}_21_contracts", engine.name()), |b| {
-            b.iter(|| {
-                let mut findings = 0usize;
-                for p in &programs {
-                    findings += ethainter::analyze(black_box(p), &cfg).findings.len();
-                }
-                black_box(findings)
-            })
-        });
-    }
+    let cfg = Config::default();
+    c.bench_function("analyze/21_contracts", |b| {
+        b.iter(|| {
+            let mut findings = 0usize;
+            for p in &programs {
+                findings += ethainter::analyze(black_box(p), &cfg).findings.len();
+            }
+            black_box(findings)
+        })
+    });
 }
 
-criterion_group!(benches, bench_engines);
+criterion_group!(benches, bench_analyze);
 criterion_main!(benches);

@@ -4,28 +4,23 @@
 //! the composite (✰) marker pass from a recursive full re-analysis into
 //! a frozen re-evaluation over the same artifacts. Nothing observable
 //! may change: this suite pins findings, fact counts, defeated guards,
-//! composite markers, and witnesses byte-identical across both engines
-//! at all three corpus scales — and pins the composite markers to the
-//! *recursive semantics* they replaced, reconstructed through the public
-//! API (`freeze_guards = true, storage_taint = false` is exactly the
-//! config the old recursion analyzed under; a finding is composite iff
-//! it has no frozen counterpart with the same `(vuln, stmt)`).
+//! and composite markers byte-identical between the production engine
+//! (witnesses on) and the dense oracle at all three corpus scales,
+//! checks every witness against the oracle's fixpoint, and pins the
+//! composite markers to the *recursive semantics* they replaced,
+//! reconstructed through the public API (`freeze_guards = true,
+//! storage_taint = false` is exactly the config the old recursion
+//! analyzed under; a finding is composite iff it has no frozen
+//! counterpart with the same `(vuln, stmt)`).
+
+mod common;
 
 use corpus::{Population, PopulationConfig, Scale};
-use ethainter::{Config, Engine, Report};
+use ethainter::{Config, Report};
 
 /// Everything the refactor must preserve, extracted for comparison.
-fn verdict(
-    r: &Report,
-) -> (Vec<ethainter::Finding>, ethainter::FactCounts, Vec<usize>, bool, Option<Vec<ethainter::Witness>>)
-{
-    (
-        r.findings.clone(),
-        r.stats.facts,
-        r.defeated_guards.clone(),
-        r.timed_out,
-        r.witnesses.clone(),
-    )
+fn verdict(r: &Report) -> (Vec<ethainter::Finding>, ethainter::FactCounts, Vec<usize>, bool) {
+    (r.findings.clone(), r.stats.facts, r.defeated_guards.clone(), r.timed_out)
 }
 
 /// Scale presets with corpus sizes small enough for a debug-build test,
@@ -46,8 +41,9 @@ fn scaled_corpora() -> Vec<(Scale, Population)> {
         .collect()
 }
 
-/// Both engines, witnesses on, all three scales: byte-identical reports,
-/// and composite markers equal to the pre-refactor recursive semantics.
+/// Engine (witnesses on) against the oracle, all three scales:
+/// byte-identical verdicts, valid witnesses, and composite markers equal
+/// to the pre-refactor recursive semantics.
 #[test]
 fn artifact_refactor_preserves_reports_across_scales_and_engines() {
     let mut composite_seen = 0usize;
@@ -57,20 +53,25 @@ fn artifact_refactor_preserves_reports_across_scales_and_engines() {
             let mut p = decompiler::decompile(&c.bytecode);
             decompiler::optimize(&mut p, &decompiler::PassConfig::default());
 
-            let dense_cfg =
-                Config { engine: Engine::Dense, witness: true, ..Config::default() };
-            let sparse_cfg =
-                Config { engine: Engine::Sparse, witness: true, ..Config::default() };
-            let d = ethainter::analyze(&p, &dense_cfg);
+            let sparse_cfg = Config { witness: true, ..Config::default() };
+            let oracle = ethainter::oracle::evaluate_dense(&p, &sparse_cfg);
             let s = ethainter::analyze(&p, &sparse_cfg);
             assert_eq!(
-                verdict(&d),
+                verdict(&oracle.report),
                 verdict(&s),
                 "engines diverge at scale {} on contract {i} ({}#{})",
                 scale.name(),
                 c.family,
                 c.id
             );
+            if let Err(e) = common::check_witnesses(&p, &s, &oracle) {
+                panic!(
+                    "invalid witness at scale {} on contract {i} ({}#{}): {e}",
+                    scale.name(),
+                    c.family,
+                    c.id
+                );
+            }
 
             // The recursive semantics, reconstructed via the public API:
             // the old composite pass was literally `analyze` under this

@@ -1,14 +1,15 @@
-//! Differential equivalence of the dense and sparse fixpoint engines.
+//! Differential equivalence of the production (sparse) fixpoint engine
+//! and the dense oracle (`ethainter::oracle::evaluate_dense`).
 //!
-//! The sparse engine is only a *scheduling* change: both engines
-//! evaluate the same monotone rule system, which has a unique least
-//! fixpoint, so every observable verdict — findings, fact counts,
-//! defeated guards, timeout status — must be byte-identical. The two
-//! legitimate differences are `stats.rounds` (an engine-specific effort
-//! metric) and `stats.timings` (wall-clock), which are deliberately
-//! excluded here.
+//! The sparse engine is only a *scheduling* change: both evaluate the
+//! same monotone rule system, which has a unique least fixpoint, so
+//! every observable verdict — findings, fact counts, defeated guards,
+//! timeout status — must be byte-identical. The two legitimate
+//! differences are `stats.rounds` (a scheduling-specific effort metric)
+//! and `stats.timings` (wall-clock), which are deliberately excluded
+//! here.
 
-use ethainter::{Config, Engine, Report, StorageModel};
+use ethainter::{Config, Report, StorageModel};
 use proptest::prelude::*;
 
 /// Everything the engines must agree on, extracted for comparison.
@@ -16,16 +17,24 @@ fn verdict(r: &Report) -> (Vec<ethainter::Finding>, ethainter::FactCounts, Vec<u
     (r.findings.clone(), r.stats.facts, r.defeated_guards.clone(), r.timed_out)
 }
 
-fn both_engines(cfg: &Config) -> (Config, Config) {
-    (
-        Config { engine: Engine::Dense, ..*cfg },
-        Config { engine: Engine::Sparse, ..*cfg },
-    )
+/// The oracle's and the production engine's reports for `p` under `cfg`.
+fn both_engines(p: &decompiler::Program, cfg: &Config) -> (Report, Report) {
+    (ethainter::oracle::evaluate_dense(p, cfg).report, ethainter::analyze(p, cfg))
+}
+
+/// Decompiles `code`, optimizing when `cfg.optimize_ir` asks for it —
+/// exactly what `analyze_bytecode` feeds the analysis.
+fn prepare(code: &[u8], cfg: &Config) -> decompiler::Program {
+    let mut p = decompiler::decompile(code);
+    if cfg.optimize_ir {
+        decompiler::optimize(&mut p, &decompiler::PassConfig::default());
+    }
+    p
 }
 
 /// The headline differential: 500 generated contracts, decompiled and
-/// optimized once each, analyzed by both engines under the default
-/// config. Any divergence fails with the contract pinpointed.
+/// optimized once each, analyzed by the engine and the oracle under the
+/// default config. Any divergence fails with the contract pinpointed.
 #[test]
 fn five_hundred_contract_corpus_differential() {
     let pop = corpus::Population::generate(&corpus::PopulationConfig {
@@ -33,14 +42,11 @@ fn five_hundred_contract_corpus_differential() {
         seed: 7,
         ..Default::default()
     });
-    let (dense_cfg, sparse_cfg) = both_engines(&Config::default());
     let mut findings_seen = 0usize;
     let mut defeats_seen = 0usize;
     for (i, c) in pop.contracts.iter().enumerate() {
-        let mut p = decompiler::decompile(&c.bytecode);
-        decompiler::optimize(&mut p, &decompiler::PassConfig::default());
-        let d = ethainter::analyze(&p, &dense_cfg);
-        let s = ethainter::analyze(&p, &sparse_cfg);
+        let p = prepare(&c.bytecode, &Config::default());
+        let (d, s) = both_engines(&p, &Config::default());
         assert_eq!(
             verdict(&d),
             verdict(&s),
@@ -76,12 +82,9 @@ fn ablation_configs_agree_across_engines() {
         Config { range_guards: false, ..Config::default() },
     ];
     for c in &pop.contracts {
-        let mut p = decompiler::decompile(&c.bytecode);
-        decompiler::optimize(&mut p, &decompiler::PassConfig::default());
+        let p = prepare(&c.bytecode, &Config::default());
         for cfg in &ablations {
-            let (dense_cfg, sparse_cfg) = both_engines(cfg);
-            let d = ethainter::analyze(&p, &dense_cfg);
-            let s = ethainter::analyze(&p, &sparse_cfg);
+            let (d, s) = both_engines(&p, cfg);
             assert_eq!(
                 verdict(&d),
                 verdict(&s),
@@ -113,7 +116,6 @@ fn arb_config() -> impl Strategy<Value = Config> {
             freeze_guards: freeze,
             optimize_ir: opt,
             range_guards: range,
-            engine: Engine::Sparse, // overwritten per side below
             witness: false,
         })
 }
@@ -143,10 +145,8 @@ proptest! {
             scale,
             ..Default::default()
         });
-        let (dense_cfg, sparse_cfg) = both_engines(&cfg);
         for c in &pop.contracts {
-            let d = ethainter::analyze_bytecode(&c.bytecode, &dense_cfg);
-            let s = ethainter::analyze_bytecode(&c.bytecode, &sparse_cfg);
+            let (d, s) = both_engines(&prepare(&c.bytecode, &cfg), &cfg);
             prop_assert_eq!(
                 verdict(&d),
                 verdict(&s),
@@ -164,8 +164,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Random (corpus seed, config) pairs: a fresh 3-contract
-    /// population per case, every contract analyzed by both engines
-    /// under the same randomly drawn config.
+    /// population per case, every contract analyzed by the engine and
+    /// the oracle under the same randomly drawn config.
     #[test]
     fn random_corpora_and_configs_are_engine_invariant(
         seed in any::<u64>(),
@@ -176,12 +176,10 @@ proptest! {
             seed,
             ..Default::default()
         });
-        let (dense_cfg, sparse_cfg) = both_engines(&cfg);
         for c in &pop.contracts {
-            // analyze_bytecode so optimize_ir participates too: the
-            // engines must agree on raw and optimized IR alike.
-            let d = ethainter::analyze_bytecode(&c.bytecode, &dense_cfg);
-            let s = ethainter::analyze_bytecode(&c.bytecode, &sparse_cfg);
+            // prepare() honours optimize_ir, so the engines must agree
+            // on raw and optimized IR alike.
+            let (d, s) = both_engines(&prepare(&c.bytecode, &cfg), &cfg);
             prop_assert_eq!(
                 verdict(&d),
                 verdict(&s),

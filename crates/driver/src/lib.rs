@@ -205,11 +205,10 @@ impl Status {
     }
 
     /// The verdict projection: timings zeroed *and* `rounds` zeroed.
-    /// `rounds` is an engine-specific effort metric (dense counts
-    /// re-scan passes, sparse counts defeat waves), so it must not
-    /// appear in artifacts that are specified to be byte-identical
-    /// across `--engine dense` ⇄ `--engine sparse` — `merged.jsonl`
-    /// records verdicts, not effort.
+    /// `rounds` is a scheduling-dependent effort metric (the worklist
+    /// engine counts defeat waves, the dense oracle re-scan passes), so
+    /// it stays out of artifacts specified to be byte-identical —
+    /// `merged.jsonl` records verdicts, not effort.
     pub fn verdict_only(&self) -> Status {
         let mut s = self.without_timings();
         if let Status::Analyzed { rounds, .. } = &mut s {

@@ -9,7 +9,6 @@
 //! ethainter disasm <file>           # print the disassembly
 //! ethainter compile <file>          # print bytecode hex + selectors
 //! ethainter kill <file>             # analyze, deploy on a sandbox, exploit
-//! ethainter scan <n>                # generate a population and scan it
 //! ethainter batch [files] [--corpus n] [--jobs n] [--timeout-ms t] [--out f]
 //!                 [--cache-dir d] [--checkpoint d | --resume d] [--limit n]
 //! ethainter serve [--addr a] [--jobs n] [--queue-depth n] [--cache-dir d]
@@ -50,7 +49,6 @@ fn main() -> ExitCode {
         "disasm" => cmd_disasm(rest),
         "compile" => cmd_compile(rest),
         "kill" => cmd_kill(rest),
-        "scan" => cmd_scan(rest),
         "batch" => cmd_batch(rest),
         "serve" => cmd_serve(rest),
         "cache" => cmd_cache(rest),
@@ -82,7 +80,6 @@ USAGE:
     ethainter disasm <file>
     ethainter compile <file>
     ethainter kill <file>
-    ethainter scan [n]
     ethainter batch [<file>...] [--corpus n] [--seed s] [--scale sc] [--jobs n]
                     [--timeout-ms t] [--out f.jsonl] [--chunk n] [config flags]
                     [--cache-dir d] [--checkpoint d | --resume d] [--limit n]
@@ -100,12 +97,12 @@ USAGE:
 Config flags (analyze and batch): --no-guards, --no-storage,
 --conservative (the paper's Figure 8 ablations); --no-passes disables
 the IR optimization pipeline and branch pruning, --no-range-guards
-disables only the interval-analysis branch pruning. --engine
-dense|sparse selects the fixpoint evaluator (default sparse); both
-produce identical verdicts, and cached results stay warm across an
-engine switch. --witness attaches taint-provenance witnesses to each
-report: a replayable source→sink derivation for every finding
+disables only the interval-analysis branch pruning. --witness attaches
+taint-provenance witnesses to each report: a replayable source→sink
+derivation for every finding, recorded by the fixpoint as it runs
 (analyze --json includes them; batch outcome records carry them).
+Witnesses never change a verdict, and cached results stay warm when
+they are turned on.
 
 trace analyzes one contract under a freshly minted trace context and
 renders its span tree: every phase (decompile → index_build → fixpoint
@@ -186,11 +183,10 @@ fn load_bytecode(path: &str) -> Result<Vec<u8>, String> {
     minisol::compile_source(trimmed).map(|c| c.bytecode).map_err(|e| e.to_string())
 }
 
-fn parse_config(flags: &[String]) -> Result<Config, String> {
+fn parse_config(flags: &[String]) -> Config {
     let mut cfg = Config::default();
-    let mut i = 0;
-    while i < flags.len() {
-        match flags[i].as_str() {
+    for flag in flags {
+        match flag.as_str() {
             "--no-guards" => cfg.guard_modeling = false,
             "--no-storage" => cfg.storage_taint = false,
             "--conservative" => cfg.storage_model = ethainter::StorageModel::Conservative,
@@ -200,22 +196,16 @@ fn parse_config(flags: &[String]) -> Result<Config, String> {
             }
             "--no-range-guards" => cfg.range_guards = false,
             "--witness" => cfg.witness = true,
-            "--engine" => {
-                let v = flags.get(i + 1).ok_or("--engine needs a value (dense|sparse)")?;
-                cfg.engine = ethainter::Engine::parse(v)?;
-                i += 1;
-            }
             _ => {}
         }
-        i += 1;
     }
-    Ok(cfg)
+    cfg
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("analyze: missing <file>")?;
     let code = load_bytecode(path)?;
-    let cfg = parse_config(args)?;
+    let cfg = parse_config(args);
     // One minted trace per contract: spans this analysis records are
     // attributable even when a --trace-out JSONL mixes several runs.
     let _trace = telemetry::trace::root(telemetry::trace::mint());
@@ -255,7 +245,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 fn cmd_explain(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("explain: missing <file>")?;
     let code = load_bytecode(path)?;
-    let mut cfg = parse_config(args)?;
+    let mut cfg = parse_config(args);
     cfg.witness = true;
     let report = ethainter::analyze_bytecode(&code, &cfg);
     if report.timed_out {
@@ -292,7 +282,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("trace: missing <file>")?;
     let code = load_bytecode(path)?;
-    let cfg = parse_config(args)?;
+    let cfg = parse_config(args);
     let json = args.iter().any(|a| a == "--json");
 
     let trace = telemetry::trace::mint();
@@ -509,9 +499,6 @@ impl BatchArgs {
                 "--trace-out" => p.trace_out = Some(take("--trace-out")?),
                 "--no-guards" | "--no-storage" | "--conservative" | "--no-passes"
                 | "--no-range-guards" | "--witness" => {} // parse_config reads these
-                "--engine" => {
-                    take("--engine")?; // parse_config validates the value
-                }
                 other if other.starts_with("--") => {
                     return Err(format!("batch: unknown flag `{other}`"));
                 }
@@ -629,7 +616,7 @@ fn install_trace_writer(path: &str) -> Result<(), String> {
 
 fn cmd_batch(args: &[String]) -> Result<(), String> {
     let parsed = BatchArgs::parse(args)?;
-    let analysis = parse_config(args)?;
+    let analysis = parse_config(args);
     let cfg = parsed.driver_config();
 
     if let Some(path) = &parsed.trace_out {
@@ -838,7 +825,7 @@ fn batch_with_store(
 /// `ethainter serve` — run the analyzer as an HTTP daemon until
 /// SIGINT, then drain gracefully.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let mut cfg = server::ServerConfig { analysis: parse_config(args)?, ..Default::default() };
+    let mut cfg = server::ServerConfig { analysis: parse_config(args), ..Default::default() };
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut it = args.iter();
@@ -878,9 +865,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--metrics-out" => metrics_out = Some(take("--metrics-out")?),
             "--no-guards" | "--no-storage" | "--conservative" | "--no-passes"
             | "--no-range-guards" | "--witness" => {} // parse_config reads these
-            "--engine" => {
-                take("--engine")?; // parse_config validates the value
-            }
             other => return Err(format!("serve: unknown argument `{other}`")),
         }
     }
@@ -1036,41 +1020,6 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     out!("linted {total} program(s): {violations} violation(s), {skipped} skipped");
     if violations > 0 {
         return Err(format!("{violations} IR violation(s)"));
-    }
-    Ok(())
-}
-
-fn cmd_scan(args: &[String]) -> Result<(), String> {
-    let size: usize = args
-        .first()
-        .map(|s| s.parse().map_err(|e| format!("bad size: {e}")))
-        .transpose()?
-        .unwrap_or(2_000);
-    let pop = corpus::Population::generate(&corpus::PopulationConfig {
-        size,
-        ..Default::default()
-    });
-    let started = std::time::Instant::now();
-    let mut flagged = 0usize;
-    let mut per_class = std::collections::BTreeMap::new();
-    for c in &pop.contracts {
-        let r = ethainter::analyze_bytecode(&c.bytecode, &Config::default());
-        if !r.findings.is_empty() {
-            flagged += 1;
-        }
-        for v in Vuln::ALL {
-            if r.has(v) {
-                *per_class.entry(v).or_insert(0usize) += 1;
-            }
-        }
-    }
-    out!(
-        "scanned {size} contracts in {:.1?} — {flagged} flagged ({:.2}%)",
-        started.elapsed(),
-        100.0 * flagged as f64 / size as f64
-    );
-    for (v, n) in per_class {
-        out!("  {:<30} {n} ({:.2}%)", v.to_string(), 100.0 * n as f64 / size as f64);
     }
     Ok(())
 }

@@ -143,3 +143,41 @@ fn missing_file_is_a_clean_error() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("error"));
 }
+
+/// Witnesses come from the engine's own recorded provenance, and its
+/// schedule depends on nothing process-specific (no hash-map iteration
+/// order, no random seeds): two separate `analyze --json --witness`
+/// processes must serialize byte-identical witnesses, one per finding.
+#[test]
+fn witnesses_are_byte_identical_across_processes() {
+    let pop = corpus::Population::generate(&corpus::PopulationConfig {
+        size: 6,
+        seed: 7,
+        scale: corpus::Scale::Realistic,
+        ..Default::default()
+    });
+    let mut inputs = vec![write_temp("cli_witness.msol", VULN)];
+    for (i, c) in pop.contracts.iter().enumerate() {
+        let hex: String = c.bytecode.iter().map(|b| format!("{b:02x}")).collect();
+        inputs.push(write_temp(&format!("cli_witness_{i}.hex"), &hex));
+    }
+    let witnesses = |path: &std::path::Path| -> (String, usize) {
+        let out = Command::new(bin())
+            .args(["analyze", path.to_str().unwrap(), "--json", "--witness"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let report: ethainter::Report = serde_json::from_slice(&out.stdout).unwrap();
+        let w = report.witnesses.as_ref().expect("--witness attaches witnesses");
+        assert_eq!(w.len(), report.findings.len(), "one witness per finding");
+        (serde_json::to_string(w).unwrap(), w.len())
+    };
+    let mut total = 0;
+    for path in &inputs {
+        let (first, n) = witnesses(path);
+        let again = witnesses(path).0;
+        assert_eq!(first, again, "{}: witnesses differ across processes", path.display());
+        total += n;
+    }
+    assert!(total > 0, "no witnesses compared");
+}

@@ -25,15 +25,15 @@
 //! [`analyze`] builds the artifacts once, then evaluates — and the
 //! composite (✰) marker pass is a *second evaluation* (frozen fixpoint +
 //! detector sweep) over the very same artifacts, never a rebuild. The
-//! fixpoint itself lives in the crate's private `engine` module, which
-//! offers two verdict-equivalent evaluation strategies selected by
-//! [`Config::engine`] — the naive `dense` re-scan and the
-//! worklist-driven `sparse` engine. Each pipeline phase is wall-clock
-//! timed into [`Stats::timings`], with the sink scan further split into
-//! `detectors`/`effects`/`composite` sub-phases.
+//! fixpoint itself is the worklist-driven engine in the crate's private
+//! `engine` module; with [`Config::witness`] on, that same run records
+//! each fact's first derivation, and the witness phase backtracks from
+//! every finding through the recorded edges. Each pipeline phase is
+//! wall-clock timed into [`Stats::timings`], with the sink scan further
+//! split into `detectors`/`effects`/`composite` sub-phases.
 
 use crate::artifacts::{AnalysisArtifacts, Inner};
-use crate::config::{Config, Engine};
+use crate::config::Config;
 use crate::engine::provenance::Provenance;
 use crate::engine::{self, KeyClass, Prepared, State};
 use crate::report::{FactCounts, Finding, Report, Stats, Vuln};
@@ -85,14 +85,22 @@ pub fn analyze(p: &decompiler::Program, cfg: &Config) -> Report {
     AnalysisArtifacts::build(p, cfg).evaluate(cfg)
 }
 
-/// Dispatches the fixpoint to the configured engine over borrowed
-/// artifacts. The sparse indexes are memoized in the artifacts, so a
-/// second call (the frozen composite pass) never rebuilds them.
-fn run_engine(cfg: &Config, inner: &Inner<'_>, st: &mut State) {
-    match cfg.engine {
-        Engine::Sparse => engine::sparse::run(cfg, &inner.prep, inner.sparse_indexes(), st),
-        Engine::Dense => engine::dense::run(cfg, &inner.prep, st),
-    }
+/// How an evaluation drives the fixpoint: fill `st` to the least
+/// fixpoint of the rules under the config, recording first derivations
+/// into the recorder when one is given. Every production evaluation
+/// passes [`sparse_fixpoint`]; only [`crate::oracle`] passes the dense
+/// specification.
+pub(crate) type Fixpoint = fn(&Config, &Inner<'_>, &mut State, Option<&mut Provenance>);
+
+/// The production fixpoint: the sparse worklist engine over the
+/// artifacts' prebuilt indexes.
+fn sparse_fixpoint(
+    cfg: &Config,
+    inner: &Inner<'_>,
+    st: &mut State,
+    prov: Option<&mut Provenance>,
+) {
+    engine::sparse::run(cfg, &inner.prep, &inner.sparse, st, prov)
 }
 
 impl AnalysisArtifacts<'_> {
@@ -102,8 +110,19 @@ impl AnalysisArtifacts<'_> {
     /// `cfg` must agree with the build-time config on the switches the
     /// build phase consumed (`guard_modeling`, `range_guards`); the
     /// evaluation-only switches (`freeze_guards`, `storage_taint`,
-    /// `storage_model`, `engine`, `witness`) may differ freely.
+    /// `storage_model`, `witness`) may differ freely.
     pub fn evaluate(&self, cfg: &Config) -> Report {
+        self.evaluate_with(cfg, sparse_fixpoint).0
+    }
+
+    /// [`evaluate`](Self::evaluate) with the fixpoint strategy as a
+    /// parameter; also hands back the main run's final state (`None`
+    /// for incomplete or empty programs).
+    pub(crate) fn evaluate_with(
+        &self,
+        cfg: &Config,
+        fixpoint: Fixpoint,
+    ) -> (Report, Option<State>) {
         let p = self.p;
         let mut report = Report {
             timed_out: p.incomplete,
@@ -117,7 +136,7 @@ impl AnalysisArtifacts<'_> {
             ..Report::default()
         };
         let Some(inner) = &self.inner else {
-            return report;
+            return (report, None);
         };
         assert!(
             inner.built_for.guard_modeling == cfg.guard_modeling
@@ -129,9 +148,12 @@ impl AnalysisArtifacts<'_> {
         report.stats.timings.index_build_us = inner.build_us;
 
         // ---- Mutually-recursive fixpoint --------------------------------
+        // In witness mode the run records first derivations as it goes
+        // (never for the composite-marker sub-analysis, `freeze_guards`).
         let sp_fix = telemetry::span("ethainter.fixpoint");
         let mut st = State::new(prep);
-        run_engine(cfg, inner, &mut st);
+        let mut prov = (cfg.witness && !cfg.freeze_guards).then(Provenance::default);
+        fixpoint(cfg, inner, &mut st, prov.as_mut());
         report.stats.timings.fixpoint_us = sp_fix.finish_us();
 
         if st.timed_out {
@@ -181,7 +203,7 @@ impl AnalysisArtifacts<'_> {
         let mut composite_us = 0;
         if (st.any_defeat || cfg.storage_taint) && !cfg.freeze_guards {
             let sp_comp = telemetry::span("ethainter.composite");
-            if composite_markers(inner, cfg, &mut report.findings) {
+            if composite_markers(inner, cfg, fixpoint, &mut report.findings) {
                 // The frozen fixpoint timed out: its relations are an
                 // under-approximation, so the markers are conservative
                 // (composite-biased), not exact — surface that.
@@ -197,26 +219,19 @@ impl AnalysisArtifacts<'_> {
         report.stats.timings.stamp_sink_scan(detectors_us, effects_us, composite_us);
 
         // ---- Provenance witnesses (opt-in) ------------------------------
-        // Replay the fixpoint on the dense engine with a first-derivation
-        // recorder and backtrack each finding to its axioms. The replay
-        // starts from a fresh State and always runs dense, so witnesses
-        // are byte-identical whatever engine produced the verdicts above.
-        // Skipped for the composite-marker sub-analysis (`freeze_guards`)
-        // and for timed-out contracts (partial relations would make the
-        // paths misleading).
-        if cfg.witness && !cfg.freeze_guards && !report.timed_out {
+        // Backtrack each finding through the edges the fixpoint recorded.
+        // Skipped for timed-out contracts (partial relations would make
+        // the paths misleading).
+        if let (Some(prov), false) = (&prov, report.timed_out) {
             let sp_wit = telemetry::span("ethainter.witness");
-            let mut wst = State::new(prep);
-            let mut prov = Provenance::new(prep);
-            engine::dense::run_recording(cfg, prep, &mut wst, &mut prov);
-            report.witnesses = Some(witness::build(&report.findings, prep, &wst, &prov));
+            report.witnesses = Some(witness::build(&report.findings, prep, &st, prov));
             report.stats.timings.witness_us = sp_wit.finish_us();
             telemetry::metrics::counter("ethainter_witnesses_built_total")
                 .add(report.findings.len() as u64);
         }
 
         report.stats.timings.stamp_total();
-        report
+        (report, Some(st))
     }
 }
 
@@ -231,7 +246,12 @@ impl AnalysisArtifacts<'_> {
 /// markers degrade conservatively toward `composite = true`; the caller
 /// must propagate the flag into [`Report::timed_out`] (previously it
 /// was silently dropped).
-fn composite_markers(inner: &Inner<'_>, cfg: &Config, findings: &mut [Finding]) -> bool {
+fn composite_markers(
+    inner: &Inner<'_>,
+    cfg: &Config,
+    fixpoint: Fixpoint,
+    findings: &mut [Finding],
+) -> bool {
     let frozen_cfg = Config {
         freeze_guards: true,
         storage_taint: false,
@@ -239,7 +259,7 @@ fn composite_markers(inner: &Inner<'_>, cfg: &Config, findings: &mut [Finding]) 
         ..*cfg
     };
     let mut fst = State::new(&inner.prep);
-    run_engine(&frozen_cfg, inner, &mut fst);
+    fixpoint(&frozen_cfg, inner, &mut fst, None);
     let (frozen, _, _) = detector_sweep(inner, &frozen_cfg, &fst);
     for f in findings {
         let direct = frozen.iter().any(|g| g.vuln == f.vuln && g.stmt == f.stmt);
@@ -372,9 +392,9 @@ fn detector_sweep(inner: &Inner<'_>, cfg: &Config, st: &State) -> (Vec<Finding>,
     let detectors_us = sp_det.finish_us();
 
     // ---- Detector suite v2: effect/ordering + origin/time detectors ----
-    // All four run over engine-independent inputs (the memoized
-    // effect/ordering summaries and the shared fixpoint state), so dense
-    // and sparse verdicts stay byte-identical by construction.
+    // All four run over strategy-independent inputs (the memoized
+    // effect/ordering summaries and the fixpoint state), so the engine
+    // and the dense oracle agree on them by construction.
     let sp_eff = telemetry::span("ethainter.effects");
 
     // Reentrancy + unchecked call return both need external-call sites;
@@ -606,7 +626,7 @@ mod tests {
         let mut findings = art.evaluate(&cfg).findings;
         assert!(!findings.is_empty(), "fixture must produce findings");
         let frozen_timed_out = with_deadline(Instant::now(), || {
-            composite_markers(inner, &cfg, &mut findings)
+            composite_markers(inner, &cfg, sparse_fixpoint, &mut findings)
         });
         assert!(
             frozen_timed_out,
@@ -639,7 +659,7 @@ mod tests {
         let p = composite_vulnerable_program();
         for cfg in [
             Config::default(),
-            Config { engine: Engine::Dense, ..Config::default() },
+            Config::no_passes(),
             Config { witness: true, ..Config::default() },
         ] {
             let art = AnalysisArtifacts::build(&p, &cfg);

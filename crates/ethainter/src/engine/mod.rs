@@ -1,4 +1,4 @@
-//! Fixpoint engines for the Figure 5 mutual recursion.
+//! The fixpoint engine for the Figure 5 mutual recursion.
 //!
 //! The rule system (taint propagation, storage writes, guard defeat) is
 //! **monotone**: every relation only ever grows — input/storage taint
@@ -6,19 +6,21 @@
 //! defeated-guard set, and `ReachableByAttacker` (which is an
 //! anti-monotone function of the *undefeated* guards, hence monotone in
 //! the defeated set). A monotone system has a unique least fixpoint, so
-//! *any* fair evaluation strategy computes the same relations. This
-//! module offers two:
+//! *any* fair evaluation strategy computes the same relations. There is
+//! one production strategy and one specification:
 //!
-//! - [`dense`] — naive evaluation, re-scanning every statement per
-//!   round. Simple enough to read as the executable specification.
 //! - [`sparse`] — worklist evaluation over the one-time [`indexes`]:
-//!   only statements whose inputs changed are re-evaluated. The
-//!   production default ([`Engine::Sparse`](crate::config::Engine)).
+//!   only statements whose inputs changed are re-evaluated. Every
+//!   analysis runs it, and in witness mode it also records each fact's
+//!   first derivation into a [`provenance::Provenance`].
+//! - [`dense`] — naive evaluation, re-scanning every statement per
+//!   round. Simple enough to read as the executable specification; it
+//!   is reachable only through [`crate::oracle::evaluate_dense`].
 //!
 //! Everything semantic is shared here — guard discovery, storage-address
 //! classification, the `DS`/`DSA` relations, the defeat predicate, and
-//! the [`State`] both engines fill — so the engines differ only in
-//! *scheduling*, never in rules. The differential suites in
+//! the [`State`] both fill — so the two differ only in *scheduling*,
+//! never in rules. The differential suites in
 //! `crates/bench/tests/engine_differential.rs` hold them to that.
 
 pub(crate) mod dense;
@@ -126,7 +128,8 @@ pub(crate) enum KeyClass {
     Unknown,
 }
 
-/// Static (taint-independent) analysis context shared by both engines:
+/// Static (taint-independent) analysis context shared by the engine and
+/// the oracle:
 /// def/use sites, constants, the Figure 4 `DS`/`DSA` relations, and the
 /// memoized storage-address classifier.
 pub(crate) struct Ctx<'a> {
@@ -174,7 +177,7 @@ pub(crate) struct SinkIndex {
     pub rds_unowned_blocks: Vec<BlockId>,
 }
 
-/// Everything the engines need, built once per program during the
+/// Everything the fixpoint needs, built once per program during the
 /// index-build phase: the static context, the discovered guards, CFG
 /// facts, and the constant-offset memory def-use edges.
 pub(crate) struct Prepared<'a> {
@@ -195,8 +198,8 @@ pub(crate) struct Prepared<'a> {
     /// by key classification or guard kinds, interned to dense atoms.
     pub slots: Interner<U256>,
     /// Per statement: atom-resolved key classification (`Some` exactly
-    /// for `SLoad`/`SStore`), shared by both engines so neither pays
-    /// the memoizing classifier during the fixpoint.
+    /// for `SLoad`/`SStore`), so the fixpoint never pays the memoizing
+    /// classifier.
     pub key_class: Vec<Option<KeyClass>>,
     /// Slots compared against `msg.sender` in some guard (§4.5 inferred
     /// sinks), hoisted out of the sink scan so the frozen composite
@@ -303,9 +306,9 @@ impl<'a> Prepared<'a> {
     }
 }
 
-/// The mutable fixpoint state both engines drive to the (unique) least
-/// fixpoint. Every field is monotone: booleans only flip `false → true`,
-/// sets only grow.
+/// The mutable fixpoint state the engine (or the oracle) drives to the
+/// (unique) least fixpoint. Every field is monotone: booleans only flip
+/// `false → true`, sets only grow.
 pub(crate) struct State {
     /// `TaintedFlow` — input taint per variable.
     pub input_tainted: Vec<bool>,
@@ -396,8 +399,8 @@ pub(crate) fn recompute_rba(prep: &Prepared<'_>, defeated: &[bool], rba: &mut [b
     }
 }
 
-/// The guard-defeat predicate of Figure 5, shared verbatim by both
-/// engines:
+/// The guard-defeat predicate of Figure 5, shared verbatim by the
+/// engine and the oracle:
 ///
 /// ```text
 /// ReachableByAttacker(s) :- StaticallyGuardedStatement(s, guard),

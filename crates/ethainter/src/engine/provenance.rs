@@ -1,22 +1,23 @@
 //! First-derivation provenance for the fixpoint relations.
 //!
-//! When witnesses are requested, the dense engine re-runs the fixpoint
-//! from a fresh [`State`](super::State) with a [`Provenance`] recorder
-//! attached, and every mutation site records *why* the fact first
-//! became true: the rule name, the statement that fired, and the
-//! prerequisite facts ([`FactId`]s). Because the rule system is
-//! monotone, first-derivation edges form an acyclic graph rooted at the
-//! axioms (CALLDATALOAD sources, `msg.sender`, unguarded blocks), so
-//! backtracking from any sink fact replays a concrete source→sink path.
+//! When witnesses are requested, the production (sparse) engine runs
+//! with a [`Provenance`] recorder attached, and every helper that turns
+//! a fact true records *why* it first became true: the rule name, the
+//! statement that fired, and the prerequisite facts ([`FactId`]s). The
+//! prerequisites are read off the state at the moment of derivation, so
+//! each one was already true — and therefore already recorded, or an
+//! axiom (CALLDATALOAD sources, `msg.sender`, unguarded blocks). The
+//! edges thus form an acyclic graph, and backtracking from any sink
+//! fact replays a concrete source→sink path.
 //!
-//! The dense engine's iteration order is fully deterministic (statement
-//! order, then guard order, then block order), which is what makes
-//! witnesses **byte-identical across engines**: the production engine
-//! may be sparse, but provenance always comes from the same canonical
-//! dense replay. The replay costs one extra dense fixpoint and is only
-//! paid when [`Config::witness`](crate::Config) is on.
+//! The worklist schedule is a pure function of the program and the
+//! config: seeds and index lists are in statement/guard order and no
+//! step iterates a hash map, so "first" derivation is canonical and
+//! witnesses are byte-identical across runs and processes. With
+//! [`Config::witness`](crate::Config) off the engine carries no
+//! recorder and builds no edge.
 
-use super::Prepared;
+use super::{Guard, GuardCond, GuardKind, State};
 use decompiler::StmtId;
 use evm::U256;
 use std::collections::HashMap;
@@ -62,88 +63,72 @@ pub(crate) struct Edge {
     pub sources: Vec<FactId>,
 }
 
-/// First-derivation edges for every fact the replay derived. Facts with
-/// no entry are axioms (or were never derived).
+/// First-derivation edges for every fact the engine derived. Facts with
+/// no entry are axioms (or were never derived). Only ever looked up,
+/// never iterated, so the map's order cannot reach a witness.
+#[derive(Default)]
 pub(crate) struct Provenance {
-    input: Vec<Option<Edge>>,
-    storage: Vec<Option<Edge>>,
-    slots: HashMap<U256, Edge>,
-    mappings: HashMap<U256, Edge>,
-    writable: HashMap<U256, Edge>,
-    all_slots: Option<Edge>,
-    unknown_store: Option<Edge>,
-    defeated: Vec<Option<Edge>>,
-    reach: Vec<Option<Edge>>,
-    origin: Vec<Option<Edge>>,
-    time: Vec<Option<Edge>>,
+    edges: HashMap<FactId, Edge>,
 }
 
 impl Provenance {
-    /// Empty recorder sized for `prep`'s program.
-    pub fn new(prep: &Prepared<'_>) -> Provenance {
-        Provenance {
-            input: vec![None; prep.ctx.p.n_vars as usize],
-            storage: vec![None; prep.ctx.p.n_vars as usize],
-            slots: HashMap::new(),
-            mappings: HashMap::new(),
-            writable: HashMap::new(),
-            all_slots: None,
-            unknown_store: None,
-            defeated: vec![None; prep.guards.len()],
-            reach: vec![None; prep.ctx.p.blocks.len()],
-            origin: vec![None; prep.ctx.p.n_vars as usize],
-            time: vec![None; prep.ctx.p.n_vars as usize],
-        }
-    }
-
     /// Records the first derivation of `fact`; later derivations are
-    /// ignored (the dense replay visits sites in deterministic order,
-    /// so "first" is canonical).
+    /// ignored (the engine's schedule is deterministic, so "first" is
+    /// canonical). `Sender` facts are static axioms and never recorded.
     pub fn record(&mut self, fact: FactId, edge: Edge) {
-        let slot = match fact {
-            FactId::Input(v) => &mut self.input[v as usize],
-            FactId::Storage(v) => &mut self.storage[v as usize],
-            FactId::Slot(k) => {
-                self.slots.entry(k).or_insert(edge);
-                return;
-            }
-            FactId::MappingTaint(k) => {
-                self.mappings.entry(k).or_insert(edge);
-                return;
-            }
-            FactId::Writable(k) => {
-                self.writable.entry(k).or_insert(edge);
-                return;
-            }
-            FactId::AllSlots => &mut self.all_slots,
-            FactId::UnknownStore => &mut self.unknown_store,
-            FactId::Defeated(g) => &mut self.defeated[g],
-            FactId::Reach(b) => &mut self.reach[b as usize],
-            FactId::Sender(_) => return, // static axiom
-            FactId::Origin(v) => &mut self.origin[v as usize],
-            FactId::Time(v) => &mut self.time[v as usize],
-        };
-        if slot.is_none() {
-            *slot = Some(edge);
+        if !matches!(fact, FactId::Sender(_)) {
+            self.edges.entry(fact).or_insert(edge);
         }
     }
 
     /// The first-derivation edge of `fact`, if it was derived (axioms
     /// and never-derived facts return `None`).
     pub fn get(&self, fact: FactId) -> Option<&Edge> {
-        match fact {
-            FactId::Input(v) => self.input.get(v as usize)?.as_ref(),
-            FactId::Storage(v) => self.storage.get(v as usize)?.as_ref(),
-            FactId::Slot(k) => self.slots.get(&k),
-            FactId::MappingTaint(k) => self.mappings.get(&k),
-            FactId::Writable(k) => self.writable.get(&k),
-            FactId::AllSlots => self.all_slots.as_ref(),
-            FactId::UnknownStore => self.unknown_store.as_ref(),
-            FactId::Defeated(g) => self.defeated.get(g)?.as_ref(),
-            FactId::Reach(b) => self.reach.get(b as usize)?.as_ref(),
-            FactId::Sender(_) => None,
-            FactId::Origin(v) => self.origin.get(v as usize)?.as_ref(),
-            FactId::Time(v) => self.time.get(v as usize)?.as_ref(),
+        self.edges.get(&fact)
+    }
+}
+
+/// The prerequisite facts that defeat `guard` under the current state —
+/// the provenance mirror of [`guard_defeated`](super::guard_defeated).
+/// Membership tests run over atoms (`atoms` is the guard's
+/// [`Prepared::guard_atoms`] row); the cited [`FactId`]s carry the
+/// 256-bit slots straight from the guard kinds, so witnesses stay
+/// atom-free.
+pub(crate) fn defeat_sources(guard: &Guard, atoms: &[Option<u32>], st: &State) -> Vec<FactId> {
+    let ci = guard.cond.0;
+    if st.input_tainted[ci as usize] {
+        return vec![FactId::Input(ci)];
+    }
+    if st.storage_tainted[ci as usize] {
+        return vec![FactId::Storage(ci)];
+    }
+    let kind_fact = |(i, k): (usize, &GuardKind)| -> Option<FactId> {
+        match k {
+            GuardKind::SenderEqSlot(v) => {
+                if atoms[i].is_some_and(|a| st.tainted_slots.contains(a)) {
+                    Some(FactId::Slot(*v))
+                } else if st.all_slots_tainted {
+                    Some(FactId::AllSlots)
+                } else {
+                    None
+                }
+            }
+            GuardKind::Membership(base) => atoms[i]
+                .is_some_and(|a| st.writable_mappings.contains(a))
+                .then_some(FactId::Writable(*base)),
+            GuardKind::SenderEqOther | GuardKind::SenderOpaque => None,
         }
+    };
+    let defeated: Vec<FactId> = guard
+        .cond_kind
+        .kinds()
+        .iter()
+        .enumerate()
+        .filter_map(kind_fact)
+        .collect();
+    match &guard.cond_kind {
+        // One defeated disjunct suffices; cite only the first.
+        GuardCond::Disj(_) => defeated.into_iter().take(1).collect(),
+        _ => defeated,
     }
 }

@@ -1,10 +1,10 @@
 //! Taint-provenance witnesses: replaying a verdict into a concrete
 //! source→sink path through the TAC IR.
 //!
-//! When [`Config::witness`](crate::Config) is on, the analysis re-runs
-//! the **dense** fixpoint with a first-derivation recorder attached
-//! (see `engine::provenance`) and, for every finding, backtracks from
-//! the sink's seed facts through the derivation DAG to the axioms —
+//! When [`Config::witness`](crate::Config) is on, the production
+//! fixpoint records every fact's first derivation as it runs (see
+//! `engine::provenance`) and, for every finding, this module backtracks
+//! from the sink's seed facts through the derivation DAG to the axioms —
 //! CALLDATALOAD sources, `msg.sender`, and unguarded blocks. The result
 //! is a [`Witness`]: an ordered list of [`WitnessStep`]s where every
 //! step's prerequisites appear before it and the last step is the sink
@@ -12,11 +12,12 @@
 //! driver attaches them to `Status::Analyzed` records (and the store
 //! strips them from cache entries and `merged.jsonl`, like timings).
 //!
-//! Witnesses are **deterministic**: the dense replay visits statements,
-//! guards, and blocks in a fixed order, so the same (bytecode, config)
-//! pair yields a byte-identical witness regardless of the production
-//! engine or cache temperature. The determinism suite in `crates/bench`
-//! holds this across engines and runs.
+//! Witnesses are **deterministic**: the engine's worklist schedule is a
+//! pure function of the program and config, so the same (bytecode,
+//! config) pair yields a byte-identical witness in every run and every
+//! process. The determinism suite in `crates/bench` holds this, and
+//! checks every cited fact against the dense oracle's fixpoint
+//! ([`crate::oracle::evaluate_dense`]).
 
 use crate::engine::provenance::{Edge, FactId, Provenance};
 use crate::engine::{Prepared, State};
@@ -65,7 +66,7 @@ pub struct Witness {
 }
 
 /// Renders a fact for humans.
-fn fact_text(fact: FactId, prep: &Prepared<'_>) -> String {
+pub(crate) fn fact_text(fact: FactId, prep: &Prepared<'_>) -> String {
     match fact {
         FactId::Input(v) => format!("v{v} input-tainted"),
         FactId::Storage(v) => format!("v{v} storage-tainted"),
@@ -244,10 +245,9 @@ fn seeds(f: &Finding, prep: &Prepared<'_>, st: &State) -> Vec<FactId> {
 
 /// Builds a witness for every finding from the recorded provenance.
 ///
-/// `st` must be the state of the recording replay (it seeds fact
-/// selection); findings whose seed facts did not reproduce in the
-/// replay (never, for a deterministic analysis) still get a witness
-/// with just the sink step.
+/// `st` must be the final state of the recording run (it seeds fact
+/// selection); every finding gets exactly one witness, ending in its
+/// sink step.
 pub(crate) fn build(
     findings: &[Finding],
     prep: &Prepared<'_>,

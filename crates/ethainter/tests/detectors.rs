@@ -583,6 +583,14 @@ fn timestamp_branch_over_plain_write_clean() {
     assert!(!r.has(Vuln::TimestampDependence), "{:?}", r.findings);
 }
 
+/// Compiles `src` and prepares its program the way `analyze_bytecode`
+/// does, for the oracle comparisons below.
+fn prepared(src: &str) -> decompiler::Program {
+    let mut p = decompiler::decompile(&minisol::compile_source(src).unwrap().bytecode);
+    decompiler::optimize(&mut p, &decompiler::PassConfig::default());
+    p
+}
+
 #[test]
 fn v2_verdicts_identical_across_engines() {
     for src in [
@@ -595,36 +603,37 @@ fn v2_verdicts_identical_across_engines() {
         TIMESTAMP_PAYOUT,
         BLOCKNUMBER_PAYOUT,
     ] {
-        let dense = analyze_with(
-            src,
-            &Config { engine: ethainter::Engine::Dense, ..Config::default() },
-        );
-        let sparse = analyze_with(
-            src,
-            &Config { engine: ethainter::Engine::Sparse, ..Config::default() },
-        );
+        let p = prepared(src);
+        let dense = ethainter::oracle::evaluate_dense(&p, &Config::default()).report;
+        let sparse = ethainter::analyze(&p, &Config::default());
         assert_eq!(dense.findings, sparse.findings, "engines disagree on {src}");
         assert_eq!(dense.stats.facts, sparse.stats.facts, "fact counts differ on {src}");
     }
 }
 
 #[test]
-fn v2_witnesses_byte_identical_across_engines() {
+fn v2_witnesses_are_reproducible_and_hold_in_the_oracle() {
     for src in [REENTRANT_BANK, UNCHECKED_SEND, TXORIGIN_AUTH, TIMESTAMP_PAYOUT] {
-        let mk = |engine| {
-            let cfg = Config { engine, witness: true, ..Config::default() };
-            analyze_with(src, &cfg)
-        };
-        let dense = mk(ethainter::Engine::Dense);
-        let sparse = mk(ethainter::Engine::Sparse);
-        assert!(
-            dense.witnesses.as_ref().is_some_and(|w| !w.is_empty()),
-            "no witnesses for {src}"
-        );
+        let cfg = Config { witness: true, ..Config::default() };
+        let first = analyze_with(src, &cfg);
+        let again = analyze_with(src, &cfg);
+        let witnesses = first.witnesses.as_ref().expect("witness mode");
+        assert!(!witnesses.is_empty(), "no witnesses for {src}");
+        assert_eq!(witnesses.len(), first.findings.len(), "one witness per finding in {src}");
         assert_eq!(
-            serde_json::to_string(&dense.witnesses).unwrap(),
-            serde_json::to_string(&sparse.witnesses).unwrap(),
-            "witnesses differ on {src}"
+            serde_json::to_string(&first.witnesses).unwrap(),
+            serde_json::to_string(&again.witnesses).unwrap(),
+            "witnesses differ across runs on {src}"
         );
+        // Every fact a witness cites holds in the dense fixpoint, and
+        // each witness ends at its finding's sink.
+        let oracle = ethainter::oracle::evaluate_dense(&prepared(src), &cfg);
+        for (w, f) in witnesses.iter().zip(&first.findings) {
+            let (sink, steps) = w.steps.split_last().expect("non-empty witness");
+            assert_eq!(sink.stmt, Some(f.stmt), "{src}: last step is the sink");
+            for step in steps {
+                assert!(oracle.facts.contains(&step.fact), "{src}: {step:?} not in the oracle");
+            }
+        }
     }
 }

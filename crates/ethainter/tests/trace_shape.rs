@@ -1,15 +1,15 @@
 //! Trace determinism: the *shape* of a contract's span tree — names
 //! and nesting, durations excluded — is a function of the contract and
-//! the config, not of the engine, the run, or what else the process
-//! has analyzed before.
+//! the config, not of the fixpoint strategy, the run, or what else the
+//! process has analyzed before.
 //!
 //! This is the observability counterpart of the verdict byte-identity
-//! guarantees: if the dense and sparse engines claim identical
-//! verdicts, their phase structure must be identical too, or the trace
-//! route would leak engine internals into what operators treat as the
-//! pipeline's stable anatomy.
+//! guarantees: the production engine and the dense oracle claim
+//! identical verdicts, so their phase structure must be identical too,
+//! or the trace route would leak engine internals into what operators
+//! treat as the pipeline's stable anatomy.
 
-use ethainter::{Config, Engine};
+use ethainter::Config;
 use std::sync::Mutex;
 use telemetry::trace::{self, SpanNode};
 
@@ -56,12 +56,20 @@ fn shape(nodes: &[SpanNode]) -> String {
 /// Analyzes `bytecode` under a fresh retained trace and returns the
 /// resulting span-tree shape.
 fn traced_shape(bytecode: &[u8], cfg: &Config) -> String {
+    traced(|| {
+        ethainter::analyze_bytecode(bytecode, cfg);
+    })
+}
+
+/// Runs `analysis` under a fresh retained trace and returns the
+/// resulting span-tree shape.
+fn traced(analysis: impl FnOnce()) -> String {
     let id = trace::mint();
     trace::retain(id);
     {
         let _ctx = trace::root(id);
         let sp = telemetry::span("ethainter.contract");
-        let _report = ethainter::analyze_bytecode(bytecode, cfg);
+        analysis();
         sp.finish_us();
     }
     let records = trace::spans_for(id).expect("trace was retained");
@@ -78,10 +86,9 @@ fn span_tree_shape_is_identical_across_engines_and_runs() {
     let _g = serial();
     let code = minisol::compile_source(SOURCE).expect("compiles").bytecode;
 
-    let sparse = Config { engine: Engine::Sparse, ..Config::default() };
-    let dense = Config { engine: Engine::Dense, ..Config::default() };
+    let cfg = Config::default();
 
-    let first = traced_shape(&code, &sparse);
+    let first = traced_shape(&code, &cfg);
     assert!(first.contains("ethainter.decompile"), "shape lists phases: {first}");
     assert!(first.contains("ethainter.index_build"), "{first}");
     assert!(first.contains("ethainter.fixpoint"), "{first}");
@@ -94,10 +101,26 @@ fn span_tree_shape_is_identical_across_engines_and_runs() {
     );
 
     // Repeated runs: the same engine yields the same anatomy.
-    assert_eq!(traced_shape(&code, &sparse), first, "sparse is repeatable");
-    // Engine swap: dense walks the same phases in the same nesting.
-    assert_eq!(traced_shape(&code, &dense), first, "dense matches sparse");
-    assert_eq!(traced_shape(&code, &dense), first, "dense is repeatable");
+    assert_eq!(traced_shape(&code, &cfg), first, "sparse is repeatable");
+    // Engine swap: the dense oracle walks the same analysis phases in
+    // the same nesting as the engine over the same prepared program.
+    let mut p = decompiler::decompile(&code);
+    decompiler::optimize(&mut p, &decompiler::PassConfig::default());
+    let sparse = traced(|| {
+        ethainter::analyze(&p, &cfg);
+    });
+    assert_eq!(
+        sparse,
+        first.replace("ethainter.decompile,ethainter.passes,", ""),
+        "front-end phases aside, analyze walks what analyze_bytecode walks"
+    );
+    let dense = || {
+        traced(|| {
+            ethainter::oracle::evaluate_dense(&p, &cfg);
+        })
+    };
+    assert_eq!(dense(), sparse, "dense matches sparse");
+    assert_eq!(dense(), sparse, "dense is repeatable");
 }
 
 #[test]

@@ -31,6 +31,8 @@ pub struct JobRequest {
 /// Per-job overrides on the daemon's base [`ethainter::Config`]. Every
 /// field is optional; omitted fields inherit the server default. Field
 /// names mirror the CLI flags (`guards: false` ≙ `--no-guards`).
+/// Unknown fields are ignored, so bodies that still carry the retired
+/// `"engine"` selector parse and run on the one fixpoint engine.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ConfigPatch {
     /// Guard-aware sanitization modeling (`false` ≙ `--no-guards`).
@@ -49,15 +51,11 @@ pub struct ConfigPatch {
     #[serde(default)]
     #[serde(skip_serializing_if = "Option::is_none")]
     pub witness: Option<bool>,
-    /// Fixpoint evaluator: `"dense"` or `"sparse"` (`--engine`).
-    #[serde(default)]
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub engine: Option<String>,
 }
 
 impl ConfigPatch {
     /// Applies the overrides to a base config.
-    pub fn apply(&self, base: &ethainter::Config) -> Result<ethainter::Config, String> {
+    pub fn apply(&self, base: &ethainter::Config) -> ethainter::Config {
         let mut cfg = *base;
         if let Some(g) = self.guards {
             cfg.guard_modeling = g;
@@ -71,10 +69,7 @@ impl ConfigPatch {
         if let Some(w) = self.witness {
             cfg.witness = w;
         }
-        if let Some(e) = &self.engine {
-            cfg.engine = ethainter::Engine::parse(e)?;
-        }
-        Ok(cfg)
+        cfg
     }
 }
 
@@ -226,21 +221,30 @@ mod tests {
         assert_eq!(min.bytecode, "0x6001");
         assert!(min.id.is_none() && min.config.is_none());
 
-        let full: JobRequest = serde_json::from_str(
-            r#"{"bytecode":"00","id":"c1","config":{"guards":false,"engine":"dense","witness":true}}"#,
+        // A body written for a daemon that still let clients pick the
+        // fixpoint engine: the retired field is ignored, and the job
+        // analyzes on the one engine exactly as it would without it.
+        let code = minisol::compile_source(
+            "contract Bad { address owner;
+                function initOwner(address o) public { owner = o; }
+                function kill() public { require(msg.sender == owner); selfdestruct(owner); } }",
         )
+        .unwrap()
+        .bytecode;
+        let hex: String = code.iter().map(|b| format!("{b:02x}")).collect();
+        let full: JobRequest = serde_json::from_str(&format!(
+            r#"{{"bytecode":"{hex}","id":"c1","config":{{"guards":false,"engine":"dense","witness":true}}}}"#
+        ))
         .unwrap();
         assert_eq!(full.id.as_deref(), Some("c1"));
-        let cfg = full.config.unwrap().apply(&ethainter::Config::default()).unwrap();
-        assert!(!cfg.guard_modeling);
-        assert!(cfg.witness);
-        assert_eq!(cfg.engine, ethainter::Engine::Dense);
-    }
-
-    #[test]
-    fn bad_engine_is_rejected() {
-        let patch = ConfigPatch { engine: Some("quantum".into()), ..Default::default() };
-        assert!(patch.apply(&ethainter::Config::default()).is_err());
+        let cfg = full.config.unwrap().apply(&ethainter::Config::default());
+        let expected =
+            ethainter::Config { guard_modeling: false, witness: true, ..Default::default() };
+        assert_eq!(cfg, expected);
+        let report = ethainter::analyze_bytecode(&store::parse_hex(&full.bytecode).unwrap(), &cfg);
+        assert!(!report.findings.is_empty(), "the contract is vulnerable");
+        assert_eq!(report.witnesses.as_ref().map(Vec::len), Some(report.findings.len()));
+        assert_eq!(report.findings, ethainter::analyze_bytecode(&code, &expected).findings);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Job identity and lifecycle tracking.
 //!
-//! Every accepted submission gets a monotonically assigned [`JobId`]
-//! and a [`JobRecord`] in the [`Registry`], moving through exactly one
+//! Every accepted submission gets a freshly minted [`JobId`] and a
+//! [`JobRecord`] in the [`Registry`], moving through exactly one
 //! path: `Queued → Running → Done`. The registry is the single source
 //! of truth `GET /jobs/<id>` reads. Completed records are retained so a
 //! poller that comes back late still finds its verdict — but only up to
@@ -12,14 +12,16 @@
 //! job existed, its record aged out.
 
 use driver::Outcome;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// A server-assigned job identifier; rendered as 16 lowercase hex
-/// digits (`000000000000002a`).
+/// digits (`3f0c9a7be21d5e04`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct JobId(pub u64);
 
@@ -30,6 +32,34 @@ impl fmt::Display for JobId {
 }
 
 impl JobId {
+    /// Mints a fresh id. Ids come from one process-wide counter pushed
+    /// through a permutation of the non-zero 63-bit values keyed with
+    /// per-process random keys, so:
+    ///
+    /// - no two ids minted in one process are equal, even across
+    ///   daemons — the per-trace span store is process-global and trace
+    ///   id == job id;
+    /// - the top bit is always clear, disjoint from the ids
+    ///   `telemetry::trace::mint` hands out for CLI and batch work;
+    /// - knowing one id says nothing useful about the next, so one
+    ///   client cannot enumerate `GET /jobs/<id>` for another's verdict.
+    pub fn mint() -> JobId {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        static KEYS: OnceLock<RandomState> = OnceLock::new();
+        let keys = KEYS.get_or_init(RandomState::new);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        // Cycle-walk the 64-bit permutation until it lands back in the
+        // domain [1, 2^63): the first hit is a permutation of that
+        // domain, and `n` itself is in it, so the walk ends.
+        let mut x = n;
+        loop {
+            x = feistel(x, keys);
+            if x != 0 && x >> 63 == 0 {
+                return JobId(x);
+            }
+        }
+    }
+
     /// Parses the 16-hex-digit display form.
     pub fn parse(s: &str) -> Result<JobId, String> {
         if s.len() != 16 || !s.chars().all(|c| c.is_ascii_hexdigit()) {
@@ -37,6 +67,17 @@ impl JobId {
         }
         u64::from_str_radix(s, 16).map(JobId).map_err(|e| e.to_string())
     }
+}
+
+/// A keyed four-round Feistel network: a permutation of `u64` whose
+/// round function is SipHash under `keys`.
+fn feistel(x: u64, keys: &RandomState) -> u64 {
+    let (mut l, mut r) = ((x >> 32) as u32, x as u32);
+    for round in 0..4u8 {
+        let f = keys.hash_one((round, r)) as u32;
+        (l, r) = (r, l ^ f);
+    }
+    ((l as u64) << 32) | r as u64
 }
 
 /// Where one job is in its lifecycle.
@@ -120,9 +161,8 @@ struct Inner {
     completed_total: u64,
 }
 
-/// The id allocator + job table shared by acceptors and workers.
+/// The job table shared by acceptors and workers.
 pub struct Registry {
-    next: AtomicU64,
     max_done: usize,
     inner: Mutex<Inner>,
 }
@@ -137,11 +177,10 @@ impl Registry {
     /// Default bound on retained `Done` records (`--max-done`).
     pub const DEFAULT_MAX_DONE: usize = 4096;
 
-    /// An empty registry starting at id 1, retaining at most
-    /// `max_done` completed records (min 1).
+    /// An empty registry retaining at most `max_done` completed records
+    /// (min 1).
     pub fn new(max_done: usize) -> Registry {
         Registry {
-            next: AtomicU64::new(1),
             max_done: max_done.max(1),
             inner: Mutex::default(),
         }
@@ -151,9 +190,9 @@ impl Registry {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Allocates an id and records the job as queued.
+    /// Mints an id and records the job as queued.
     pub fn create(&self) -> JobId {
-        let id = JobId(self.next.fetch_add(1, Ordering::Relaxed));
+        let id = JobId::mint();
         self.lock().jobs.insert(
             id.0,
             JobRecord { id, state: JobState::Queued, submitted: Instant::now() },
@@ -301,6 +340,19 @@ mod tests {
         assert_eq!(JobId::parse("000000000000002a").unwrap(), id);
         assert!(JobId::parse("2a").is_err());
         assert!(JobId::parse("zzzzzzzzzzzzzzzz").is_err());
+    }
+
+    #[test]
+    fn minted_ids_are_distinct_across_registries_with_the_top_bit_clear() {
+        let (a, b) = (Registry::default(), Registry::default());
+        let ids: Vec<JobId> = (0..5000).flat_map(|_| [a.create(), b.create()]).collect();
+        let distinct: HashSet<u64> = ids.iter().map(|id| id.0).collect();
+        assert_eq!(distinct.len(), ids.len(), "a minted id repeated");
+        assert!(ids.iter().all(|id| id.0 != 0 && id.0 >> 63 == 0));
+        assert!(ids.iter().all(|id| JobId::parse(&id.to_string()) == Ok(*id)));
+        // Consecutive mints are not neighbours: ids cannot be walked.
+        let adjacent = ids.windows(2).filter(|w| w[0].0.abs_diff(w[1].0) < 1 << 20).count();
+        assert_eq!(adjacent, 0, "consecutive ids land next to each other");
     }
 
     #[test]

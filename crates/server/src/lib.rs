@@ -519,13 +519,7 @@ fn submit_job(shared: &Arc<Shared>, stream: &mut TcpStream, body: &[u8]) {
         }
     };
     let analysis = match &request.config {
-        Some(patch) => match patch.apply(&shared.config.analysis) {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                http::respond_json(stream, 400, &api::ErrorBody::json(e));
-                return;
-            }
-        },
+        Some(patch) => patch.apply(&shared.config.analysis),
         None => shared.config.analysis,
     };
 

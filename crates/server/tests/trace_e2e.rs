@@ -151,6 +151,43 @@ fn eight_concurrent_jobs_each_serve_their_own_span_tree() {
     assert!(report.drained_cleanly);
 }
 
+/// Two daemons in one process share the process-global span store, so
+/// their job ids (== trace ids) must never collide: each daemon's first
+/// job gets its own id, and each trace holds exactly that job's tree
+/// under a single `server.job` root.
+#[test]
+fn two_daemons_in_one_process_never_share_a_job_id_or_trace() {
+    let _serial = lock_serial();
+    let start = || {
+        Server::start(ServerConfig { addr: "127.0.0.1:0".into(), workers: 1, ..Default::default() })
+            .unwrap()
+    };
+    let (first, second) = (start(), start());
+    let contracts = composite_contracts(2);
+    let mut ids = Vec::new();
+    for (handle, code) in [&first, &second].into_iter().zip(&contracts) {
+        let addr = handle.addr().to_string();
+        let accepted = submit(&addr, code, "twin");
+        let done = client::await_job(&addr, &accepted.id, Duration::from_secs(60)).unwrap();
+        assert_eq!(done.state, "done");
+        let resp =
+            client::request(&addr, "GET", &format!("/jobs/{}/trace", accepted.id), None).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        let body: api::TraceBody = serde_json::from_str(&resp.body).unwrap();
+        assert_eq!(body.spans.len(), 1, "job {}: one root per job trace", accepted.id);
+        assert_eq!(body.spans[0].name, "server.job");
+        let own = TraceId::parse(&accepted.id).unwrap();
+        let mut spans = Vec::new();
+        flatten(&body.spans, &mut spans);
+        assert!(spans.iter().all(|(_, trace)| *trace == own));
+        ids.push(accepted.id);
+    }
+    assert_ne!(ids[0], ids[1], "two daemons minted the same job id");
+    for handle in [first, second] {
+        assert!(handle.shutdown().drained_cleanly);
+    }
+}
+
 /// Zeroes every `"elapsed_ms":N` in a JSONL text — the one field that
 /// is wall-clock, hence legitimately run-dependent.
 fn zero_elapsed(text: &str) -> String {

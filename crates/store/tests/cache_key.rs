@@ -4,7 +4,7 @@
 //! key, so no stale verdict can ever be replayed for a config it was
 //! not computed under.
 
-use ethainter::{Config, Engine, StorageModel};
+use ethainter::{Config, StorageModel};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use store::cache_key;
@@ -18,9 +18,8 @@ fn arb_config() -> impl Strategy<Value = Config> {
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
-        any::<bool>(),
     )
-        .prop_map(|(guards, storage, conservative, freeze, opt, range, sparse, witness)| Config {
+        .prop_map(|(guards, storage, conservative, freeze, opt, range, witness)| Config {
             guard_modeling: guards,
             storage_taint: storage,
             storage_model: if conservative {
@@ -31,7 +30,6 @@ fn arb_config() -> impl Strategy<Value = Config> {
             freeze_guards: freeze,
             optimize_ir: opt,
             range_guards: range,
-            engine: if sparse { Engine::Sparse } else { Engine::Dense },
             witness,
         })
 }
@@ -121,27 +119,7 @@ proptest! {
         prop_assert_ne!(cache_key(&extended, &cfg), base);
     }
 
-    /// The one deliberate *insensitivity*: the fixpoint engine cannot
-    /// change verdicts (differential guarantee), so flipping it must NOT
-    /// move the key — a cache populated under one engine stays warm
-    /// after `--engine dense` ⇄ `--engine sparse`.
-    #[test]
-    fn engine_flip_keeps_the_key(
-        code in vec(any::<u8>(), 0..256),
-        cfg in arb_config(),
-    ) {
-        let other = Config {
-            engine: match cfg.engine {
-                Engine::Dense => Engine::Sparse,
-                Engine::Sparse => Engine::Dense,
-            },
-            ..cfg
-        };
-        prop_assert_eq!(cache_key(&code, &other), cache_key(&code, &cfg));
-        prop_assert_eq!(other.fingerprint(), cfg.fingerprint());
-    }
-
-    /// The other deliberate insensitivity: `witness` only attaches
+    /// The one deliberate insensitivity: `witness` only attaches
     /// provenance riders (which the store strips before persisting
     /// anything), so flipping it must NOT move the key — a cache
     /// populated without witnesses stays warm when `--witness` turns on.
@@ -153,5 +131,39 @@ proptest! {
         let other = Config { witness: !cfg.witness, ..cfg };
         prop_assert_eq!(cache_key(&code, &other), cache_key(&code, &cfg));
         prop_assert_eq!(other.fingerprint(), cfg.fingerprint());
+    }
+}
+
+/// The canonical encoding is pinned: these fingerprints are the ones
+/// caches were written under before the fixpoint engine became
+/// unselectable, so removing `engine` from `Config` (it was never part
+/// of the encoding) must keep every existing cache entry warm.
+#[test]
+fn fingerprint_encoding_is_unchanged() {
+    for (cfg, hex) in [
+        (
+            Config::default(),
+            "ed9e936c9cb2786e47dd3b24cd99fd3bac5bafe64765a09233deded4ef70d4b2",
+        ),
+        (
+            Config::no_guard_model(),
+            "61e32a7d532bc2a7df3324bc1cdab7155bbd85db0e8437ad76bd31b1654807b6",
+        ),
+        (
+            Config::no_storage_taint(),
+            "0634be66b94b2ca5b9c77f04c4b4aa99de573a52e231cc2be57a2f8a267c755e",
+        ),
+        (
+            Config::conservative_storage(),
+            "8599748418710fd5b38a0ac6845cfea7b552d1810a12eebdaa603048174da431",
+        ),
+        (
+            Config::no_passes(),
+            "1bdc873418070a3cb3170e054b54dd7f57cee3eee89764a8a326831074880fe6",
+        ),
+    ] {
+        assert_eq!(cfg.fingerprint_hex(), hex, "{cfg:?}");
+        let witnessed = Config { witness: true, ..cfg };
+        assert_eq!(witnessed.fingerprint_hex(), hex, "witness stays out of the key");
     }
 }

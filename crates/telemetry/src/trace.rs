@@ -42,9 +42,9 @@ const MAX_SPANS_PER_TRACE: usize = 4096;
 const MAX_RETAINED_TRACES: usize = 8192;
 
 /// A 16-hex-digit trace identifier. The server reuses its job-id space
-/// (`TraceId(job.id.0)`); standalone mints ([`mint`]) set the top bit so
-/// CLI/batch traces can never collide with server job ids inside one
-/// process.
+/// (`TraceId(job.id.0)`, top bit always clear); standalone mints
+/// ([`mint`]) set the top bit so CLI/batch traces can never collide
+/// with server job ids inside one process.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(pub u64);
 
@@ -111,7 +111,7 @@ pub fn current() -> TraceContext {
 
 /// Mints a process-unique trace id for work that was not born from a
 /// server job (CLI `trace`, per-contract batch spans). The top bit is
-/// set so minted ids and server job ids (dense small integers) occupy
+/// set so minted ids and server job ids (which keep it clear) occupy
 /// disjoint halves of the id space.
 pub fn mint() -> TraceId {
     static NEXT: AtomicU64 = AtomicU64::new(1);
